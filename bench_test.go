@@ -310,8 +310,9 @@ func BenchmarkParallelReplications(b *testing.B) {
 // independent HAP source/queue systems partitioned across per-core event
 // loops. The merged statistics are bit-identical at every shard count
 // (TestShardedBitIdentical), so the sub-benchmarks differ only in wall
-// clock; shards=1 also exercises the calendar-queue scheduler, whose
-// pending set (~128 sources × ~150 events) sits far above calEnter.
+// clock; shards=1 also exercises the calendar-queue scheduler at a large
+// pending set (~128 sources × ~150 events), where its bucket array grows
+// to match.
 func BenchmarkShardedAggregate(b *testing.B) {
 	m := core.PaperParams(20)
 	const nsrc = 128

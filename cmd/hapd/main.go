@@ -84,6 +84,16 @@ func main() {
 		os.Exit(haperr.ExitUsage)
 	}
 
+	// The handler goes in before ctrl.New opens the sockets and starts the
+	// API, so a signal that arrives as soon as the api line is out still
+	// drains instead of killing the daemon.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 	d, err := ctrl.New(ctrl.Config{
 		ListenAddrs:        addrs,
 		Overrides:          overrides,
@@ -111,13 +121,6 @@ func main() {
 	}
 	fmt.Printf("api: http://%s\n", d.APIAddr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 	if err := d.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "hapd:", err)
 		os.Exit(haperr.ExitCode(err))

@@ -54,7 +54,7 @@ func TestFanInMatchesSuperposedQueue(t *testing.T) {
 	// derived identically.
 	meas := sim.NewMeasurements(sim.MeasureConfig{Warmup: warmup})
 	eng := sim.NewEngine(horizon, dist.NewStreams(seed).Next(), nil)
-	st := eng.AddStation(dist.NewStreams(dist.SubSeed(seed, -1-k)).Next(), meas, true)
+	st := eng.AddStation(dist.NewStreams(dist.SubSeed(seed, -1-k)).Next(), meas)
 	for i := 0; i < k; i++ {
 		src := sim.NewHAPSource(model, dist.NewStreams(dist.SubSeed(seed, i)).Next())
 		eng.InstallAt(src, st)

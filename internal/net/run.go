@@ -396,13 +396,13 @@ func Run(t *Topology, ings []Ingress, cfg Config) *Result {
 	for j := 0; j < n; j++ {
 		streams := dist.NewStreams(dist.SubSeed(cfg.Seed, -1-j))
 		perNode[j] = sim.NewMeasurements(cfg.Measure)
-		d.nodeSt[j] = eng.AddStation(streams.Next(), perNode[j], true)
+		d.nodeSt[j] = eng.AddStation(streams.Next(), perNode[j])
 		d.routeRn[j] = streams.Next()
 		d.svcLaw[j] = dist.NewExponential(t.Nodes[j].Mu)
 		d.counts[j].Name = t.NodeName(j)
 	}
 	for i, ing := range ings {
-		alias := eng.AddStation(nil, nil, false)
+		alias := eng.AddStation(nil, nil)
 		node, dst := int32(ing.Node), int32(ing.Dst)
 		if ing.Dst < 0 {
 			dst = -1

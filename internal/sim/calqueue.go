@@ -1,38 +1,36 @@
 package sim
 
-// The future event list is a hybrid: a binary heap while the pending set
-// is small (single-source runs sit around a few hundred events, where the
-// heap's O(log n) is a handful of comparisons and its locality is
-// unbeatable), and a calendar queue once it grows past calEnter (sharded
-// aggregates hold one pending set for hundreds of sources — 10⁴–10⁶
-// events — where the heap's log factor and cache misses dominate the
-// event loop). The calendar queue gives O(1) amortized schedule/pop at
-// any size; the hybrid switches back to the heap below calExit, with the
-// 4:1 hysteresis preventing thrash at the boundary.
-//
-// Both structures pop in exactly the same total order — ascending
-// (t, seq) — so which one is active is observationally irrelevant; the
-// property tests in calqueue_test.go assert the equivalence under
+import (
+	"cmp"
+	"slices"
+)
+
+// The future event list is a Brown-style calendar queue: O(1) amortized
+// schedule/pop at any size, from a single source's few hundred pending
+// events to a sharded aggregate's 10⁴–10⁶. It pops in exactly ascending
+// (t, seq) order, the engine's determinism guarantee; the property tests
+// in calqueue_test.go check that against a reference heap under
 // adversarial interleavings.
 
 const (
-	// calEnter/calExit are the hybrid's migration thresholds (events).
-	calEnter = 4096
-	calExit  = 1024
 	// calGapFactor sizes bucket width as a multiple of the EWMA gap
 	// between consecutively popped events, targeting a couple of events in
 	// the bucket the scan is standing on. Wider buckets shift the cost
 	// onto the head bucket's sorted inserts (measurably slower at 8×);
 	// narrower ones onto the scan's empty-slot walk.
 	calGapFactor = 2.0
-	// calLoadHigh triggers a grow-resize when average occupancy exceeds
-	// it; buckets double and the width is re-tuned to the current EWMA.
-	calLoadHigh = 2
+	// calLoad bounds the average bucket occupancy to [1/calLoad, calLoad]:
+	// above it the buckets double, below it they halve (never below two),
+	// and each rebuild re-tunes the width. The calLoad² = 4:1 band between
+	// the two triggers keeps a pending count near one of them from
+	// thrashing.
+	calLoad = 2
+	// calGapWindow is the number of pops the gap EWMA averages over.
+	calGapWindow = 64
 )
 
 // evLess is the scheduler's total order: ascending time, ties broken by
-// schedule order. Exactly eventHeap.less, shared so the two structures
-// cannot drift.
+// schedule order.
 func evLess(a, b *event) bool {
 	if a.t != b.t {
 		return a.t < b.t
@@ -40,187 +38,60 @@ func evLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// sched is the hybrid future event list.
-type sched struct {
-	heap  eventHeap
-	cal   calQueue
-	onCal bool
-
-	// lastT / gapEWMA track the pop process: gapEWMA is an exponentially
-	// weighted mean of the time between consecutive pops, the scale the
-	// calendar queue tunes its bucket width to.
-	lastT   float64
-	gapEWMA float64
-	popped  bool
-}
-
-func (s *sched) len() int {
-	if s.onCal {
-		return s.cal.n
-	}
-	return len(s.heap)
-}
-
-// buckets reports the calendar's bucket count (0 while on the heap) for
-// the scheduler gauges.
-func (s *sched) buckets() int {
-	if s.onCal {
-		return len(s.cal.buckets)
-	}
-	return 0
-}
-
-func (s *sched) push(e event) {
-	if s.onCal {
-		s.cal.push(e)
-		return
-	}
-	s.heap.push(e)
-	if len(s.heap) >= calEnter {
-		s.migrateToCal()
-	}
-}
-
-func (s *sched) pop() event {
-	var e event
-	if s.onCal {
-		e = s.cal.pop()
-		if s.cal.n < calExit {
-			s.migrateToHeap()
-		}
-	} else {
-		e = s.heap.pop()
-	}
-	if s.popped {
-		if gap := e.t - s.lastT; gap >= 0 {
-			s.gapEWMA += (gap - s.gapEWMA) / 64
-		}
-	}
-	s.lastT = e.t
-	s.popped = true
-	return e
-}
-
-// migrateToCal drains the heap into a freshly sized calendar. Bucket
-// width comes from the pop-gap EWMA when one exists; before any pop (a
-// burst of scheduling at install time) it falls back to the pending
-// span divided by the event count.
-func (s *sched) migrateToCal() {
-	n := len(s.heap)
-	minT, maxT := s.heap[0].t, s.heap[0].t
-	for i := 1; i < n; i++ {
-		if t := s.heap[i].t; t < minT {
-			minT = t
-		} else if t > maxT {
-			maxT = t
-		}
-	}
-	width := s.gapEWMA * calGapFactor
-	if !(width > 0) {
-		width = (maxT - minT) / float64(n) * calGapFactor
-	}
-	start := s.lastT
-	if !s.popped {
-		start = minT
-	}
-	s.cal.ewma = &s.gapEWMA
-	s.cal.init(nextPow2(n), width, start)
-	for i := range s.heap {
-		s.cal.push(s.heap[i])
-		s.heap[i] = event{} // release closures
-	}
-	s.heap = s.heap[:0]
-	s.onCal = true
-}
-
-// migrateToHeap drains the calendar back into the heap.
-func (s *sched) migrateToHeap() {
-	for bi := range s.cal.buckets {
-		b := s.cal.buckets[bi]
-		for i := range b {
-			s.heap.push(b[i])
-			b[i] = event{}
-		}
-		s.cal.buckets[bi] = b[:0]
-	}
-	for i := range s.cal.far {
-		s.heap.push(s.cal.far[i])
-		s.cal.far[i] = event{}
-	}
-	s.cal.far = s.cal.far[:0]
-	s.cal.n = 0
-	s.onCal = false
-}
-
-// nextPow2 returns the smallest power of two >= n (and >= 2).
-func nextPow2(n int) int {
-	p := 2
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// calQueue is a Brown-style calendar queue: buckets of `width` seconds,
-// bucket index = slot(t) mod len(buckets), where slot(t) = int64(t/width)
-// is the absolute slot number. Each bucket is kept sorted descending by
-// (t, seq) so its minimum is the tail: pop from the standing bucket is
-// O(1), and the sortedness makes "does this bucket hold an event of the
-// scan's current slot" a single tail comparison.
+// sched is the engine's future event list, a calendar queue: buckets of
+// `width` seconds, bucket index = slot(t) mod len(buckets), where
+// slot(t) = int64(t/width) is the absolute slot number. Each bucket is
+// kept sorted descending by (t, seq) so its minimum is the tail: pop from
+// the standing bucket is O(1), and the sortedness makes "does this bucket
+// hold an event of the scan's current slot" a single tail comparison.
 //
 // Correctness does not depend on the width or on float precision at
 // bucket boundaries: an event qualifies for popping when slot(t) equals
 // the scan's absolute slot, computed with the *same* float arithmetic
 // that placed it, so placement and qualification can never disagree.
-// Float multiplication is weakly monotone, so an event scheduled at
-// t >= now can never land on a slot behind the scan. Events whose slot
-// would overflow int64 (absurdly far futures from the public Schedule
-// API) are parked in the small sorted `far` overflow list, consulted
-// only by the direct-search fallback.
-type calQueue struct {
-	buckets [][]event
-	far     []event // overflow, sorted descending by (t, seq)
+// The scan is anchored at the engine clock (lastT: the last popped time,
+// 0 before the first pop), and float multiplication is weakly monotone,
+// so an event scheduled at t >= now can never land on a slot behind the
+// scan. Events whose slot would overflow int64 (absurdly far futures from
+// the public Schedule API) are parked in the small sorted `far` overflow
+// list, consulted only by the direct-search fallback.
+type sched struct {
+	buckets [][]event // nil until the first pop
+	far     []event   // overflow, sorted descending by (t, seq)
+	spare   []event   // events staged before the first pop; then rebuild's gather buffer
+	arena   []event   // unused storage that full buckets grow into (see carve)
 	mask    int
 	width   float64
 	inv     float64
-	slot    int64   // absolute slot the pop scan is standing on
-	cur     int     // slot mod len(buckets)
-	anchor  float64 // time of the last pop / scan reset, resize re-anchor point
+	slot    int64 // absolute slot the pop scan is standing on
+	cur     int   // slot mod len(buckets)
 	n       int
 
-	directs int      // consecutive popDirect fallbacks, triggers a re-tune
-	ewma    *float64 // engine pop-gap EWMA, owned by sched
+	directs int // consecutive popDirect fallbacks, triggers a re-tune
+
+	// lastT is the time of the last pop — the engine clock the scan is
+	// anchored at. gapEWMA is an exponentially weighted mean of the time
+	// between consecutive pops, over about calGapWindow pops, the scale the
+	// width is tuned to; it is seeded at the first pop from the spacing of
+	// the earliest events pending then.
+	lastT   float64
+	gapEWMA float64
+	popped  bool
 }
 
 // calOverflow bounds t/width so the int64 conversion in slotOf stays
 // exact and in range.
 const calOverflow = float64(1 << 60)
 
-func (c *calQueue) init(nb int, width float64, start float64) {
-	if !(width > 0) {
-		width = 1 // degenerate pending set (all ties); any width is correct
-	}
-	if cap(c.buckets) >= nb {
-		c.buckets = c.buckets[:nb]
-		for i := range c.buckets {
-			c.buckets[i] = c.buckets[i][:0]
-		}
-	} else {
-		c.buckets = make([][]event, nb)
-	}
-	c.mask = nb - 1
-	c.width = width
-	c.inv = 1 / width
-	c.n = 0
-	c.far = c.far[:0]
-	c.directs = 0
-	c.setScan(start)
-}
+func (s *sched) len() int { return s.n }
+
+// numBuckets reports the calendar's bucket count for the scheduler gauge.
+func (s *sched) numBuckets() int { return len(s.buckets) }
 
 // slotOf maps a time to its absolute slot, or returns ok=false when the
 // slot number would overflow.
-func (c *calQueue) slotOf(t float64) (int64, bool) {
-	k := t * c.inv
+func (s *sched) slotOf(t float64) (int64, bool) {
+	k := t * s.inv
 	if k >= calOverflow {
 		return 0, false
 	}
@@ -228,47 +99,70 @@ func (c *calQueue) slotOf(t float64) (int64, bool) {
 }
 
 // setScan positions the pop scan on the slot containing time t.
-func (c *calQueue) setScan(t float64) {
-	k := t * c.inv
-	if k >= calOverflow {
-		k = calOverflow
-	}
-	c.slot = int64(k)
-	c.cur = int(c.slot) & c.mask
-	c.anchor = t
+func (s *sched) setScan(t float64) {
+	s.slot = int64(min(t*s.inv, calOverflow))
+	s.cur = int(s.slot) & s.mask
 }
 
-func (c *calQueue) push(e event) {
-	slot, ok := c.slotOf(e.t)
-	if !ok {
-		c.pushFar(e)
+func (s *sched) push(e event) {
+	s.n++
+	if !s.popped {
+		// No pop history to size the calendar by yet: stage the event
+		// and build the calendar at the first pop.
+		s.spare = append(s.spare, e)
 		return
 	}
-	idx := int(slot) & c.mask
-	b := c.buckets[idx]
+	s.place(e)
+	if s.n > calLoad*len(s.buckets) {
+		s.rebuild(len(s.buckets) * 2)
+	}
+}
+
+// place inserts e into its bucket (or the overflow list) in sorted
+// position without touching the count.
+func (s *sched) place(e event) {
+	slot, ok := s.slotOf(e.t)
+	if !ok {
+		s.far = s.insertSorted(s.far, e)
+		return
+	}
+	idx := int(slot) & s.mask
+	s.buckets[idx] = s.insertSorted(s.buckets[idx], e)
+}
+
+// insertSorted inserts e into b, kept sorted descending by (t, seq). New
+// events are usually the latest in their bucket, so the walk from the
+// tail is short.
+func (s *sched) insertSorted(b []event, e event) []event {
+	if len(b) == cap(b) {
+		b = s.carve(b)
+	}
 	i := len(b)
-	b = append(b, event{})
+	b = b[:i+1]
 	for i > 0 && evLess(&b[i-1], &e) {
 		b[i] = b[i-1]
 		i--
 	}
 	b[i] = e
-	c.buckets[idx] = b
-	c.n++
-	if c.n > calLoadHigh*len(c.buckets) {
-		c.resize(len(c.buckets) * 2)
-	}
+	return b
 }
 
-func (c *calQueue) pushFar(e event) {
-	i := len(c.far)
-	c.far = append(c.far, event{})
-	for i > 0 && evLess(&c.far[i-1], &e) {
-		c.far[i] = c.far[i-1]
-		i--
+// carve moves a full bucket to twice its capacity (at least 2·calLoad),
+// cut from a shared arena that is refilled with calLoad slots per bucket
+// when it runs short. Buckets thus grow in a few large allocations rather
+// than one per bucket, and only as far as their occupancy needs: reserving
+// fixed room per bucket instead cost over a megabyte of fresh memory at
+// start-up for a many-source network.
+func (s *sched) carve(b []event) []event {
+	c := max(2*cap(b), 2*calLoad)
+	if len(s.arena) < c {
+		s.arena = make([]event, max(c, calLoad*len(s.buckets)))
 	}
-	c.far[i] = e
-	c.n++
+	grown := s.arena[:len(b):c]
+	s.arena = s.arena[c:]
+	copy(grown, b)
+	clear(b) // release closures
+	return grown
 }
 
 // pop removes and returns the minimum (t, seq) event. The scan walks
@@ -276,27 +170,48 @@ func (c *calQueue) pushFar(e event) {
 // when that tail's slot matches; a full fruitless revolution falls back
 // to a direct minimum search (sparse queue) which also re-anchors the
 // scan.
-func (c *calQueue) pop() event {
+func (s *sched) pop() event {
+	if !s.popped {
+		// Build the calendar over the staged events: calLoad of them per
+		// bucket, the width from their earliest spacing.
+		s.popped = true
+		s.gapEWMA = s.headGap()
+		nb := 2
+		for nb*calLoad < s.n {
+			nb <<= 1
+		}
+		s.rebuild(nb)
+	}
 	scanned := 0
 	for {
-		b := c.buckets[c.cur]
+		b := s.buckets[s.cur]
 		if m := len(b); m > 0 {
-			if s, ok := c.slotOf(b[m-1].t); ok && s == c.slot {
+			if slot, ok := s.slotOf(b[m-1].t); ok && slot == s.slot {
 				e := b[m-1]
-				b[m-1] = event{}
-				c.buckets[c.cur] = b[:m-1]
-				c.n--
-				c.directs = 0
-				c.anchor = e.t
+				b[m-1] = event{} // release any closure for GC
+				s.buckets[s.cur] = b[:m-1]
+				s.directs = 0
+				s.took(e.t)
 				return e
 			}
 		}
-		c.slot++
-		c.cur = int(c.slot) & c.mask
+		s.slot++
+		s.cur = int(s.slot) & s.mask
 		scanned++
-		if scanned > c.mask {
-			return c.popDirect()
+		if scanned > s.mask {
+			return s.popDirect()
 		}
+	}
+}
+
+// took books a pop at time t: the count, the clock the scan is anchored
+// at, the gap EWMA, and the shrink check.
+func (s *sched) took(t float64) {
+	s.n--
+	s.gapEWMA += (t - s.lastT - s.gapEWMA) / calGapWindow
+	s.lastT = t
+	if nb := len(s.buckets); nb > 2 && s.n*calLoad < nb {
+		s.rebuild(nb / 2)
 	}
 }
 
@@ -304,70 +219,107 @@ func (c *calQueue) pop() event {
 // (each tail is its bucket's minimum) plus the overflow list, removes it,
 // and re-anchors the scan at its time. O(buckets), hit only when a whole
 // revolution holds no event; a streak of direct pops means the width no
-// longer matches the event density, so it triggers a re-tuning resize.
-func (c *calQueue) popDirect() event {
+// longer matches the event density, so it triggers a re-tune.
+func (s *sched) popDirect() event {
 	best := -1
-	for i := range c.buckets {
-		b := c.buckets[i]
-		if m := len(b); m > 0 {
-			if best < 0 || evLess(&b[m-1], &c.buckets[best][len(c.buckets[best])-1]) {
-				best = i
-			}
+	for i, b := range s.buckets {
+		if m := len(b); m > 0 && (best < 0 || evLess(&b[m-1], &s.buckets[best][len(s.buckets[best])-1])) {
+			best = i
 		}
 	}
-	if f := len(c.far); f > 0 {
-		if best < 0 || evLess(&c.far[f-1], &c.buckets[best][len(c.buckets[best])-1]) {
-			e := c.far[f-1]
-			c.far[f-1] = event{}
-			c.far = c.far[:f-1]
-			c.n--
-			c.setScan(e.t)
-			return e
-		}
+	var e event
+	if f := len(s.far); f > 0 && (best < 0 || evLess(&s.far[f-1], &s.buckets[best][len(s.buckets[best])-1])) {
+		e = s.far[f-1]
+		s.far[f-1] = event{}
+		s.far = s.far[:f-1]
+	} else {
+		b := s.buckets[best]
+		m := len(b)
+		e = b[m-1]
+		b[m-1] = event{}
+		s.buckets[best] = b[:m-1]
+		s.directs++
 	}
-	b := c.buckets[best]
-	m := len(b)
-	e := b[m-1]
-	b[m-1] = event{}
-	c.buckets[best] = b[:m-1]
-	c.n--
-	c.setScan(e.t)
-	c.directs++
-	if c.directs >= 8 && c.ewma != nil {
-		if w := *c.ewma * calGapFactor; w > 0 && (w > 2*c.width || w < c.width/2) {
-			c.resize(len(c.buckets))
-		}
-		c.directs = 0
+	s.setScan(e.t)
+	s.took(e.t)
+	if s.directs >= 8 {
+		s.retune()
+		s.directs = 0
 	}
 	return e
 }
 
-// resize rebuilds the calendar with nb buckets, re-tuning the width to
-// the engine's current pop-gap EWMA when available. O(n); amortized by
-// the doubling growth policy. The re-anchor point is the last popped
-// time, which lower-bounds every pending event.
-func (c *calQueue) resize(nb int) {
-	old := c.buckets
-	oldFar := c.far
-	width := c.width
-	if c.ewma != nil && *c.ewma > 0 {
-		width = *c.ewma * calGapFactor
-	}
-	start := c.anchor
-	c.buckets = make([][]event, nb)
-	c.far = nil
-	c.mask = nb - 1
-	c.width = width
-	c.inv = 1 / width
-	c.n = 0
-	c.directs = 0
-	c.setScan(start)
-	for i := range old {
-		for j := range old[i] {
-			c.push(old[i][j])
+// headGap estimates the pop gap before the first pop: the mean spacing
+// of the calGapWindow earliest staged events, the window the gap EWMA
+// then averages over (0 when that is undefined). The span of all staged
+// events would not do: a few far-future timers stretch it, and the
+// resulting wide buckets crowd the events due soon. One pass keeps the
+// earliest times in a small sorted array on the stack.
+func (s *sched) headGap() float64 {
+	var buf [calGapWindow]float64
+	h := buf[:0]
+	for i := range s.spare {
+		t := s.spare[i].t
+		if len(h) == cap(h) {
+			if t >= h[len(h)-1] {
+				continue
+			}
+			h = h[:len(h)-1]
 		}
+		j, _ := slices.BinarySearch(h, t)
+		h = slices.Insert(h, j, t)
 	}
-	for i := range oldFar {
-		c.push(oldFar[i])
+	if len(h) < 2 {
+		return 0
 	}
+	return (h[len(h)-1] - h[0]) / float64(len(h)-1)
+}
+
+// retune rebuilds the calendar at its current size when the gap-derived
+// width has drifted more than 2× from the one in use.
+func (s *sched) retune() {
+	if w := s.gapEWMA * calGapFactor; w > 0 && (w > 2*s.width || w < s.width/2) {
+		s.rebuild(len(s.buckets))
+	}
+}
+
+// rebuild redistributes every pending event (and any staged ones) over
+// nb buckets, a power of two, with the width re-tuned to the gap EWMA.
+// O(n); amortized by the doubling/halving policy. The scan re-anchors at
+// the clock, which lower-bounds every pending event.
+//
+// Storage is reused: the events are gathered into the spare slice and
+// the buckets truncated in place, and a shrink only shortens the bucket
+// array, so the buckets past its length keep their capacity for the next
+// grow.
+func (s *sched) rebuild(nb int) {
+	width := s.gapEWMA * calGapFactor
+	if !(width > 0) {
+		width = cmp.Or(s.width, 1) // all ties: any width is correct
+	}
+	all := s.spare
+	for i, b := range s.buckets {
+		all = append(all, b...)
+		clear(b)
+		s.buckets[i] = b[:0]
+	}
+	all = append(all, s.far...)
+	clear(s.far)
+	s.far = s.far[:0]
+	if nb > cap(s.buckets) {
+		grown := make([][]event, nb)
+		copy(grown, s.buckets[:cap(s.buckets)])
+		s.buckets = grown
+	}
+	s.buckets = s.buckets[:nb]
+	s.mask = nb - 1
+	s.width = width
+	s.inv = 1 / width
+	s.directs = 0
+	s.setScan(s.lastT)
+	for i := range all {
+		s.place(all[i])
+	}
+	clear(all) // release closures
+	s.spare = all[:0]
 }

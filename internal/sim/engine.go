@@ -83,61 +83,6 @@ type event struct {
 	c    int32
 }
 
-// eventHeap is a hand-rolled binary min-heap ordered by (t, seq). Avoiding
-// container/heap's interface boxing saves one allocation per event, which
-// matters at 10⁷–10⁸ events per run. It is the scheduler's small-n mode;
-// see calqueue.go for the large-n calendar queue and the hybrid that
-// switches between them.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	hh := *h
-	i := len(hh) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !hh.less(i, parent) {
-			break
-		}
-		hh[i], hh[parent] = hh[parent], hh[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	hh := *h
-	top := hh[0]
-	n := len(hh) - 1
-	hh[0] = hh[n]
-	hh[n] = event{} // release any closure for GC
-	*h = hh[:n]
-	hh = *h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && hh.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && hh.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		hh[i], hh[smallest] = hh[smallest], hh[i]
-		i = smallest
-	}
-	return top
-}
-
 // table tracks a source's live entities (users, applications, calls) by
 // slot with generation counters. Pending events name an entity as
 // (slot, generation); ok reports whether that incarnation is still alive,
@@ -286,13 +231,9 @@ type Engine struct {
 	packetDone func(station, pkt int32, class int, sojourn float64)
 }
 
-// Pre-sizing for the event scheduler and message queues: large enough
-// that typical runs never grow them, small enough to be irrelevant for
-// tiny ones (a few tens of KiB per engine).
-const (
-	initialHeapCap  = 1 << 12
-	initialQueueCap = 1 << 10
-)
+// initialQueueCap pre-sizes station 0's message queue: large enough that
+// typical runs never grow it, small enough to be irrelevant for tiny ones.
+const initialQueueCap = 1 << 10
 
 // ctxPollMask sets the cancellation poll period: the context is checked
 // every 4096 events, cheap enough to be invisible in the allocation-free
@@ -312,7 +253,6 @@ func NewEngine(horizon float64, rng *rand.Rand, meas *Measurements) *Engine {
 		horizon:   horizon,
 		maxEvents: 1 << 62,
 	}
-	e.events.heap = make(eventHeap, 0, initialHeapCap)
 	e.stations = append(e.stations, station{
 		queue: make([]message, 0, initialQueueCap),
 		rng:   rng,
@@ -323,20 +263,20 @@ func NewEngine(horizon float64, rng *rand.Rand, meas *Measurements) *Engine {
 
 // AddStation creates an independent (queue, server, measurements) triple
 // and returns its index. Sources bound to the station via InstallAt feed
-// its queue instead of station 0's. With batched true, exponential
-// service laws are served from a block-refilled draw buffer — the draw
-// order is preserved, so results are unchanged provided every service law
-// on the station is exponential (non-exponential laws fall back to direct
-// sampling, which then interleaves with the pre-read buffer and changes
-// the station's sample path versus an unbatched station; never enable
-// batching on stations with mixed service laws if that equivalence
-// matters).
-func (e *Engine) AddStation(rng *rand.Rand, meas *Measurements, batched bool) int32 {
+// its queue instead of station 0's. A station with a service stream
+// serves exponential service laws from a block-refilled draw buffer over
+// it — the draw order is preserved, so results equal direct sampling
+// provided every service law on the station is exponential
+// (non-exponential laws fall back to direct sampling, which then
+// interleaves with the pre-read buffer; do not mix service laws on one
+// station if that equivalence matters). A nil rng makes a station that
+// never serves: the network layer's tagging aliases (SetIngressHook).
+func (e *Engine) AddStation(rng *rand.Rand, meas *Measurements) int32 {
 	if meas == nil {
 		meas = NewMeasurements(MeasureConfig{})
 	}
 	st := station{rng: rng, meas: meas}
-	if batched {
+	if rng != nil {
 		st.batch = dist.NewExpBatch(rng)
 	}
 	e.stations = append(e.stations, st)

@@ -12,14 +12,13 @@ var (
 		"Events processed by simulation event loops.")
 	obsQueueDepth = obs.NewGauge("hap_sim_queue_depth",
 		"Messages in system (all stations) of the most recently sampled engine.")
-	// obsSchedPending replaces the pre-calendar-queue hap_sim_event_heap_size
-	// gauge: the scheduler is no longer always a heap, so the family name
-	// describes what is actually measured — pending future events, whichever
-	// structure holds them.
+	// obsSchedPending replaces the old hap_sim_event_heap_size gauge: the
+	// family name describes what is measured — pending future events —
+	// rather than the structure that holds them.
 	obsSchedPending = obs.NewGauge("hap_sim_sched_pending",
 		"Pending future events of the most recently sampled engine.")
 	obsSchedBuckets = obs.NewGauge("hap_sim_sched_buckets",
-		"Calendar-queue buckets of the most recently sampled engine (0 while on the binary heap).")
+		"Calendar-queue buckets of the most recently sampled engine (0 until its first event fires).")
 	obsStations = obs.NewGauge("hap_sim_stations",
 		"Stations (queue/server pairs) hosted by the most recently sampled engine.")
 	obsArrivals = obs.NewCounter("hap_sim_arrivals_total",
@@ -54,6 +53,6 @@ func (e *Engine) flushObs() {
 	}
 	obsQueueDepth.Set(int64(e.totalQueueLen()))
 	obsSchedPending.Set(int64(e.events.len()))
-	obsSchedBuckets.Set(int64(e.events.buckets()))
+	obsSchedBuckets.Set(int64(e.events.numBuckets()))
 	obsStations.Set(int64(len(e.stations)))
 }

@@ -107,10 +107,10 @@ type shardState struct {
 // streams (arrival process and service times); it is called for every i
 // in index order during setup, then the shards run in parallel.
 //
-// Service laws are batched per station (see Engine.AddStation): fine for
-// the exponential service laws every built-in model uses; a make that
-// installs mixed service laws on one station should not rely on
-// batched/unbatched equivalence.
+// Each station draws its service times through a batched exponential
+// reader (see Engine.AddStation): exact for the exponential service laws
+// every built-in model uses; a make that installs mixed service laws on
+// one station should not rely on equivalence with direct sampling.
 func RunSharded(n int, mk func(i int, arrival, service *rand.Rand) Source, cfg ShardedConfig) *ShardedResult {
 	start := time.Now()
 	res := &ShardedResult{Sources: n, Source: "sharded"}
@@ -155,7 +155,7 @@ func RunSharded(n int, mk func(i int, arrival, service *rand.Rand) Source, cfg S
 		meas := NewMeasurements(cfg.Measure)
 		res.PerSource[i] = meas
 		sh := &states[i%shards]
-		station := sh.eng.AddStation(service, meas, true)
+		station := sh.eng.AddStation(service, meas)
 		sh.eng.InstallAt(src, station)
 		sh.sources = append(sh.sources, i)
 		sh.sts = append(sh.sts, station)

@@ -92,7 +92,7 @@ func TestStationMatchesDedicatedEngine(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		src, service := build(i)
 		sharedMeas[i] = NewMeasurements(MeasureConfig{ClassCount: m.NumLeaves()})
-		st := shared.AddStation(service, sharedMeas[i], true)
+		st := shared.AddStation(service, sharedMeas[i])
 		shared.InstallAt(src, st)
 	}
 	shared.Run()
@@ -102,7 +102,7 @@ func TestStationMatchesDedicatedEngine(t *testing.T) {
 		src, service := build(i)
 		meas := NewMeasurements(MeasureConfig{ClassCount: m.NumLeaves()})
 		solo := NewEngine(2000, dist.NewStreams(42).Next(), nil)
-		st := solo.AddStation(service, meas, true)
+		st := solo.AddStation(service, meas)
 		solo.InstallAt(src, st)
 		solo.Run()
 		if !reflect.DeepEqual(meas, sharedMeas[i]) {
@@ -133,24 +133,33 @@ func TestShardedTruncation(t *testing.T) {
 }
 
 // TestShardedUsesCalendarQueue sanity-checks the sizing rationale in
-// DESIGN.md: an aggregate of many HAP sources holds enough pending events
-// to cross the calendar threshold on a single shard.
+// DESIGN.md: the calendar's bucket count follows the pending set, so an
+// aggregate of many HAP sources on one engine runs on a proportionally
+// larger bucket array than a single source does.
 func TestShardedUsesCalendarQueue(t *testing.T) {
 	m := core.PaperParams(20)
-	e := NewEngine(100, dist.NewStreams(5).Next(), nil)
-	for i := 0; i < 64; i++ {
-		st := dist.NewStreams(dist.SubSeed(5, i)).Next()
-		station := e.AddStation(dist.NewStreams(dist.SubSeed(5, i)).Next(), nil, true)
-		e.InstallAt(NewHAPSource(m, st), station)
+	run := func(sources int) *Engine {
+		e := NewEngine(100, dist.NewStreams(5).Next(), nil)
+		for i := 0; i < sources; i++ {
+			st := dist.NewStreams(dist.SubSeed(5, i)).Next()
+			station := e.AddStation(dist.NewStreams(dist.SubSeed(5, i)).Next(), nil)
+			e.InstallAt(NewHAPSource(m, st), station)
+		}
+		e.Run()
+		return e
 	}
-	e.Run()
 	// The application population only fills in at runtime, so check the
 	// pending set after the run: each source holds ~150 armed clocks at
-	// steady state, and 64 sources sit far above calEnter.
-	if e.events.len() < calEnter {
-		t.Fatalf("aggregate pending set %d below calEnter=%d; sizing rationale stale", e.events.len(), calEnter)
+	// steady state.
+	one, many := run(1), run(64)
+	for _, e := range []*Engine{one, many} {
+		n, nb := e.events.len(), e.events.numBuckets()
+		if nb*calLoad < n || n*calLoad < nb && nb > 2 {
+			t.Fatalf("%d buckets for %d pending events; occupancy outside [1/%d, %d]", nb, n, calLoad, calLoad)
+		}
 	}
-	if !e.events.onCal {
-		t.Fatalf("pending set %d above calEnter=%d but scheduler still on heap", e.events.len(), calEnter)
+	if many.events.len() < 32*one.events.len() || many.events.numBuckets() < 16*one.events.numBuckets() {
+		t.Fatalf("64 sources: %d pending in %d buckets; 1 source: %d pending in %d buckets",
+			many.events.len(), many.events.numBuckets(), one.events.len(), one.events.numBuckets())
 	}
 }

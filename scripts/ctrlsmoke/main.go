@@ -4,7 +4,8 @@
 // aggregate admission decisions are served, checks the decision history
 // ring, asserts the hap_ctrl_* metric families (including the pool and
 // aggregate ones) are live, then SIGTERMs the daemon and requires a
-// clean drained exit.
+// clean drained exit. A second daemon is SIGTERMed the moment it
+// announces its API, and must drain the same way.
 package main
 
 import (
@@ -133,9 +134,16 @@ func run() error {
 		return fmt.Errorf("exposition missing %v\n--- page ---\n%s", missing, page)
 	}
 
-	// SIGTERM must drain: exit 0 and announce the drain on stdout. Read
-	// the pipe to EOF before Wait — Wait closes it and would discard the
-	// drain line.
+	if err := terminate(cmd, rest); err != nil {
+		return err
+	}
+	return earlyTerm(bin)
+}
+
+// terminate sends SIGTERM and requires a drain: exit 0 and the drain
+// announcement on stdout. It reads the pipe to EOF before Wait — Wait
+// closes it and would discard the drain line.
+func terminate(cmd *exec.Cmd, rest <-chan string) error {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		return err
 	}
@@ -150,6 +158,33 @@ func run() error {
 	}
 	if !strings.Contains(out, "hapd: drained") {
 		return fmt.Errorf("missing drain announcement; stdout tail: %.200s", out)
+	}
+	return nil
+}
+
+// earlyTerm boots a one-stream daemon and sends SIGTERM the moment the
+// api line appears, before any traffic: the signal handler must already
+// be in place, so the daemon still drains and exits 0.
+func earlyTerm(bin string) error {
+	cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-mu3", "1e5", "-target", "0.01")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return err
+	}
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		return err
+	}
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+	_, _, rest, err := awaitAddrs(stdout, 1)
+	if err != nil {
+		return err
+	}
+	if err := terminate(cmd, rest); err != nil {
+		return fmt.Errorf("early SIGTERM: %w", err)
 	}
 	return nil
 }
